@@ -9,7 +9,8 @@
 // network's statistics from the published graph.
 //
 // Entry points:
-//   - internal/core: the public facade over the pipeline
+//   - internal/core: a one-import facade over the publish/sample steps
+//     the examples and the README quickstart use
 //   - cmd/ksym, cmd/ksample, cmd/kstats, cmd/kexp: command-line tools
 //   - examples/: runnable walkthroughs
 //   - bench_test.go (this package): one benchmark per paper table/figure

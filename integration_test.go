@@ -5,6 +5,7 @@ package ksymmetry
 // utility guarantees on a real-scale network.
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -123,7 +124,7 @@ func TestEndToEndMinimalAndHubExclusionCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := ksym.MinimalAnonymizeF(g, orb, ksym.TopFractionTarget(g, 5, 0.02))
+	combined, err := ksym.MinimalAnonymizeFCtx(context.Background(), g, orb, ksym.TopFractionTarget(g, 5, 0.02))
 	if err != nil {
 		t.Fatal(err)
 	}

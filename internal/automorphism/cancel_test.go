@@ -60,42 +60,6 @@ func TestDeadlineMidSearch(t *testing.T) {
 	}
 }
 
-func TestCancelMidCanonical(t *testing.T) {
-	// Smaller than the search tests: the canonical leaf encoding is
-	// quadratic in n and the search tree allocation-heavy, so one leaf
-	// (the work between polls, GC assists included) must stay cheap.
-	g := datasets.Cycle(1000)
-	base := faulttest.Goroutines()
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := CanonicalFormCtx(ctx, g, 0)
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	faulttest.ExpectErr(t, errc, context.Canceled)
-	faulttest.AssertNoLeak(t, base)
-}
-
-func TestCancelMidCanonicalParallel(t *testing.T) {
-	// The parallel canonical search owns a pool of branch workers; a
-	// mid-search cancel must propagate into every in-flight branch and
-	// drain the pool without leaking a goroutine.
-	g := datasets.Cycle(1000)
-	base := faulttest.Goroutines()
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := CanonicalFormWorkersCtx(ctx, g, 0, 4)
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	faulttest.ExpectErr(t, errc, context.Canceled)
-	faulttest.AssertNoLeak(t, base)
-}
-
 func TestCancelledContextStillReturnsOnTinyGraph(t *testing.T) {
 	// Amortized polling means a computation smaller than one poll
 	// interval may finish despite a dead context — that is the

@@ -1,23 +1,24 @@
-// Package core is the stable entry point to the paper's primary
-// contribution — the k-symmetry anonymization model. It re-exports the
-// implementation living in the focused packages (ksym for the model,
-// automorphism for Orb(G), sampling for the analyst side), so that one
-// import gives the whole publish/recover pipeline:
+// Package core is the one-import entry point to the paper's primary
+// contribution — the k-symmetry anonymization model — for the examples
+// and the README quickstart. It re-exports the publisher and analyst
+// steps from the focused packages (automorphism for Orb(G), ksym for
+// the model, sampling for the analyst side):
 //
 //	orb, gens, err := core.OrbitPartition(g, nil)
 //	res, err := core.Anonymize(g, orb, 5)          // publisher side
 //	s, err := core.SampleApproximate(res.Graph, res.Partition, g.N(), opts)
+//
+// Everything else (context-aware variants, backbone, exact and batch
+// sampling, worker pools) is called on those packages directly.
 package core
 
 import (
-	"context"
 	"math/rand"
 
 	"ksymmetry/internal/automorphism"
 	"ksymmetry/internal/graph"
 	"ksymmetry/internal/ksym"
 	"ksymmetry/internal/partition"
-	"ksymmetry/internal/refine"
 	"ksymmetry/internal/sampling"
 )
 
@@ -31,30 +32,9 @@ type (
 	Result = ksym.Result
 	// Target is an f-symmetry size function (Definition 5).
 	Target = ksym.Target
-	// BackboneResult is the outcome of backbone detection (Algorithm 2).
-	BackboneResult = ksym.BackboneResult
 	// SamplingOptions configures the §4.2 samplers.
 	SamplingOptions = sampling.Options
-	// Sampler selects the batch sampling algorithm (SamplerApproximate
-	// or SamplerExact).
-	Sampler = sampling.Sampler
 )
-
-// SearchOptions tunes the orbit search (automorphism.Options): the
-// per-pair NodeBudget, the BestEffort degradation switch, and the
-// Workers pool that fans the IR tree's work units out. Orbits and
-// generators are byte-identical at every Workers value (DESIGN.md
-// §12).
-type SearchOptions = automorphism.Options
-
-// Re-exported sampler selectors for SamplingOptions.Method.
-const (
-	SamplerApproximate = sampling.SamplerApproximate
-	SamplerExact       = sampling.SamplerExact
-)
-
-// NewGraph returns a graph with n isolated vertices.
-func NewGraph(n int) *Graph { return graph.New(n) }
 
 // OrbitPartition computes Orb(G) exactly, with the discovered
 // automorphism generators.
@@ -73,38 +53,11 @@ func AnonymizeF(g *Graph, orb *Partition, target Target) (*Result, error) {
 	return ksym.AnonymizeF(g, orb, target)
 }
 
-// MinimalAnonymize rebuilds from the backbone to minimize added
-// vertices (§5.1).
-func MinimalAnonymize(g *Graph, orb *Partition, k int) (*Result, error) {
-	return ksym.MinimalAnonymize(g, orb, k)
-}
-
-// Backbone detects the graph backbone (Algorithm 2).
-func Backbone(g *Graph, p *Partition) *BackboneResult {
-	return ksym.Backbone(g, p)
-}
-
-// SampleExact draws one exact backbone-based sample (Algorithm 3).
-func SampleExact(gp *Graph, vp *Partition, n int, opts *SamplingOptions) (*Graph, error) {
-	return sampling.Exact(gp, vp, n, opts)
-}
-
 // SampleApproximate draws one approximate backbone-based sample
 // (Algorithms 4 and 5).
 func SampleApproximate(gp *Graph, vp *Partition, n int, opts *SamplingOptions) (*Graph, error) {
 	return sampling.Approximate(gp, vp, n, opts)
 }
-
-// SampleBatch draws count samples across a bounded worker pool with
-// deterministic per-sample RNG streams derived from opts.Seed — the
-// result is byte-identical at every opts.Parallelism value.
-func SampleBatch(gp *Graph, vp *Partition, n, count int, opts *SamplingOptions) ([]*Graph, error) {
-	return sampling.Batch(gp, vp, n, count, opts)
-}
-
-// DeriveSeed derives the seed of the stream-th independent RNG stream
-// of a base seed (the splitmix64 scheme SampleBatch uses per sample).
-func DeriveSeed(seed int64, stream int) int64 { return sampling.DeriveSeed(seed, stream) }
 
 // NewSamplingOptions returns sampler options with the default
 // inverse-degree weights and a seeded RNG.
@@ -115,83 +68,3 @@ func NewSamplingOptions(seed int64) *SamplingOptions {
 // IsKSymmetric reports whether a graph with automorphism partition orb
 // satisfies k-symmetry anonymity (Definition 1).
 func IsKSymmetric(orb *Partition, k int) bool { return ksym.IsKSymmetric(orb, k) }
-
-// Context-aware variants. Each is the same computation as its
-// like-named sibling, observing ctx cancellation and deadlines at
-// amortized poll points (see DESIGN.md §6.1).
-
-// OrbitPartitionCtx is OrbitPartition under a context.
-func OrbitPartitionCtx(ctx context.Context, g *Graph, opts *automorphism.Options) (*Partition, []automorphism.Perm, error) {
-	return automorphism.OrbitPartitionCtx(ctx, g, opts)
-}
-
-// AnonymizeCtx is Anonymize under a context.
-func AnonymizeCtx(ctx context.Context, g *Graph, orb *Partition, k int) (*Result, error) {
-	return ksym.AnonymizeCtx(ctx, g, orb, k)
-}
-
-// AnonymizeFCtx is AnonymizeF under a context.
-func AnonymizeFCtx(ctx context.Context, g *Graph, orb *Partition, target Target) (*Result, error) {
-	return ksym.AnonymizeFCtx(ctx, g, orb, target)
-}
-
-// MinimalAnonymizeCtx is MinimalAnonymize under a context.
-func MinimalAnonymizeCtx(ctx context.Context, g *Graph, orb *Partition, k int) (*Result, error) {
-	return ksym.MinimalAnonymizeCtx(ctx, g, orb, k)
-}
-
-// BackboneCtx is Backbone under a context.
-func BackboneCtx(ctx context.Context, g *Graph, p *Partition) (*BackboneResult, error) {
-	return ksym.BackboneCtx(ctx, g, p)
-}
-
-// BackboneWorkersCtx is BackboneCtx with the per-cell component
-// classification fanned out across `workers` goroutines (0/1 =
-// sequential); the result is identical at every worker count.
-func BackboneWorkersCtx(ctx context.Context, g *Graph, p *Partition, workers int) (*BackboneResult, error) {
-	return ksym.BackboneWorkersCtx(ctx, g, p, workers)
-}
-
-// SampleBatchCtx is SampleBatch under a context: cancellation
-// propagates into every in-flight sample.
-func SampleBatchCtx(ctx context.Context, gp *Graph, vp *Partition, n, count int, opts *SamplingOptions) ([]*Graph, error) {
-	return sampling.BatchCtx(ctx, gp, vp, n, count, opts)
-}
-
-// SampleExactCtx is SampleExact under a context.
-func SampleExactCtx(ctx context.Context, gp *Graph, vp *Partition, n int, opts *SamplingOptions) (*Graph, error) {
-	return sampling.ExactCtx(ctx, gp, vp, n, opts)
-}
-
-// SampleApproximateCtx is SampleApproximate under a context.
-func SampleApproximateCtx(ctx context.Context, gp *Graph, vp *Partition, n int, opts *SamplingOptions) (*Graph, error) {
-	return sampling.ApproximateCtx(ctx, gp, vp, n, opts)
-}
-
-// CanonicalForm returns a canonical relabeling of g and the certificate
-// of its isomorphism class (equal certificates ⟺ isomorphic graphs).
-// maxLeaves ≤ 0 selects the default leaf budget.
-func CanonicalForm(g *Graph, maxLeaves int) (automorphism.Perm, string, error) {
-	return automorphism.CanonicalForm(g, maxLeaves)
-}
-
-// CanonicalFormWorkersCtx is CanonicalForm under a context and a
-// bounded worker pool; the result is byte-identical at every worker
-// count.
-func CanonicalFormWorkersCtx(ctx context.Context, g *Graph, maxLeaves, workers int) (automorphism.Perm, string, error) {
-	return automorphism.CanonicalFormWorkersCtx(ctx, g, maxLeaves, workers)
-}
-
-// CertificateWorkersCtx returns only the certificate string, searched
-// over a bounded worker pool.
-func CertificateWorkersCtx(ctx context.Context, g *Graph, maxLeaves, workers int) (string, error) {
-	return automorphism.CertificateWorkersCtx(ctx, g, maxLeaves, workers)
-}
-
-// TotalDegreePartitionWorkersCtx computes 𝒯𝒟𝒱(G) — the paper's §7
-// large-graph fallback partition — over a bounded worker pool on a
-// frozen CSR view. The partition is byte-identical at every worker
-// count; workers ≤ 0 means GOMAXPROCS.
-func TotalDegreePartitionWorkersCtx(ctx context.Context, g *Graph, workers int) (*Partition, error) {
-	return refine.TotalDegreePartitionWorkersCSRCtx(ctx, graph.NewCSR(g), workers)
-}

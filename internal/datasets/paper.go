@@ -69,10 +69,6 @@ func Fig7a() *graph.Graph {
 	return g
 }
 
-// Fig7aCell returns the cell (the "blue" vertices) of Fig7a whose
-// components are orbit copies.
-func Fig7aCell() []int { return []int{1, 2, 3, 4} }
-
 // Fig7b returns a graph in the spirit of Figure 7(b): the same two
 // isomorphic components {1,2} and {3,4}, but attached to different
 // external vertices, so neither is an orbit copy of the other and both

@@ -311,13 +311,8 @@ func MinimalAnonymizeCtx(ctx context.Context, g *graph.Graph, orb *partition.Par
 	return MinimalAnonymizeFCtx(ctx, g, orb, ConstantTarget(k))
 }
 
-// MinimalAnonymizeF is MinimalAnonymize with an arbitrary f-symmetry
-// target.
-func MinimalAnonymizeF(g *graph.Graph, orb *partition.Partition, target Target) (*Result, error) {
-	return MinimalAnonymizeFCtx(context.Background(), g, orb, target)
-}
-
-// MinimalAnonymizeFCtx is MinimalAnonymizeF under a context.
+// MinimalAnonymizeFCtx is MinimalAnonymizeCtx with an arbitrary
+// f-symmetry target.
 func MinimalAnonymizeFCtx(ctx context.Context, g *graph.Graph, orb *partition.Partition, target Target) (*Result, error) {
 	if err := orb.Validate(g.N()); err != nil {
 		return nil, fmt.Errorf("ksym: invalid partition: %w", err)

@@ -151,7 +151,7 @@ func TestMinimalAnonymizeErrors(t *testing.T) {
 	if _, err := MinimalAnonymize(g, p, 0); err == nil {
 		t.Fatal("k=0 should error")
 	}
-	if _, err := MinimalAnonymizeF(g, p, func([]int) int { return -1 }); err == nil {
+	if _, err := MinimalAnonymizeFCtx(context.Background(), g, p, func([]int) int { return -1 }); err == nil {
 		t.Fatal("negative target should error")
 	}
 }

@@ -272,16 +272,7 @@ func (r *Registry) Reset() {
 // Values are int64, so no float formatting is involved and the encoding
 // needs nothing beyond the standard library's formatting verbs.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	return writeJSON(w, r.Snapshot())
-}
-
-// WriteSnapshotJSON renders an already-taken snapshot (e.g. the one a
-// pipeline Result carries) in the same stable format as WriteJSON.
-func WriteSnapshotJSON(w io.Writer, snap map[string]int64) error {
-	return writeJSON(w, snap)
-}
-
-func writeJSON(w io.Writer, snap map[string]int64) error {
+	snap := r.Snapshot()
 	keys := sortedKeys(snap)
 	if _, err := io.WriteString(w, "{\n"); err != nil {
 		return err

@@ -20,34 +20,12 @@ import (
 	"ksymmetry/internal/partition"
 )
 
-// Equitable refines the initial partition of g's vertices until it is
-// equitable: any two vertices in the same cell have, for every cell C,
-// the same number of neighbors in C. The result is the coarsest
-// equitable partition finer than initial.
-func Equitable(g *graph.Graph, initial *partition.Partition) *partition.Partition {
-	p, _ := EquitableCtx(context.Background(), g, initial)
-	return p
-}
-
-// EquitableCtx is Equitable under a context: refinement polls the
-// context with amortized cost and returns its error (and a nil
-// partition) if it fires before the fixpoint is reached.
-func EquitableCtx(ctx context.Context, g *graph.Graph, initial *partition.Partition) (*partition.Partition, error) {
-	if initial.N() != g.N() {
-		panic("refine: partition size does not match graph")
-	}
-	r := NewRefiner(g)
-	r.Reset(initial)
-	if err := r.RunCtx(ctx); err != nil {
-		return nil, err
-	}
-	return r.Partition(), nil
-}
-
-// EquitableCSRCtx is EquitableCtx running on a caller-provided frozen
-// CSR view, for callers that already froze one (the pipeline's 𝒯𝒟𝒱
-// rung, the scale benches): it skips the per-call CSR build that
-// EquitableCtx's NewRefiner performs.
+// EquitableCSRCtx refines the initial partition of the vertices of the
+// frozen graph c until it is equitable: any two vertices in the same
+// cell have, for every cell C, the same number of neighbors in C. The
+// result is the coarsest equitable partition finer than initial.
+// Refinement polls ctx with amortized cost and returns its error (and
+// a nil partition) if it fires before the fixpoint is reached.
 func EquitableCSRCtx(ctx context.Context, c *graph.CSR, initial *partition.Partition) (*partition.Partition, error) {
 	if initial.N() != c.N() {
 		panic("refine: partition size does not match graph")
@@ -64,35 +42,17 @@ func EquitableCSRCtx(ctx context.Context, c *graph.CSR, initial *partition.Parti
 // of G, obtained by stabilizing the unit partition. It is always coarser
 // than (or equal to) Orb(G).
 func TotalDegreePartition(g *graph.Graph) *partition.Partition {
-	p, _ := TotalDegreePartitionCtx(context.Background(), g)
+	p, _ := TotalDegreePartitionCSRCtx(context.Background(), graph.NewCSR(g))
 	return p
 }
 
-// TotalDegreePartitionCtx is TotalDegreePartition under a context.
-func TotalDegreePartitionCtx(ctx context.Context, g *graph.Graph) (*partition.Partition, error) {
-	if g.N() == 0 {
-		return partition.FromCellOf(nil), nil
-	}
-	return EquitableCtx(ctx, g, partition.Unit(g.N()))
-}
-
-// TotalDegreePartitionCSRCtx is TotalDegreePartitionCtx on a frozen CSR
-// view.
+// TotalDegreePartitionCSRCtx is TotalDegreePartition on a frozen CSR
+// view, under a context.
 func TotalDegreePartitionCSRCtx(ctx context.Context, c *graph.CSR) (*partition.Partition, error) {
 	if c.N() == 0 {
 		return partition.FromCellOf(nil), nil
 	}
 	return EquitableCSRCtx(ctx, c, partition.Unit(c.N()))
-}
-
-// DegreePartition groups vertices by degree — the starting point of the
-// k-degree anonymity baseline and the first refinement step.
-func DegreePartition(g *graph.Graph) *partition.Partition {
-	degs := make([]int, g.N())
-	for v := range degs {
-		degs[v] = g.Degree(v)
-	}
-	return partition.FromCellOf(degs)
 }
 
 // IsEquitable reports whether p is equitable with respect to g.

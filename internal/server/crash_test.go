@@ -116,7 +116,12 @@ func TestKillAtEveryCrashPoint(t *testing.T) {
 				// job must be present and reach done — completed before
 				// the kill, or replayed and re-run after it.
 				s := mustNew(t, Config{DataDir: dir, RetryBackoff: time.Millisecond})
-				defer gracefulStop(t, s)
+				stopped := false
+				defer func() {
+					if !stopped {
+						gracefulStop(t, s)
+					}
+				}()
 				for _, id := range accepted {
 					if _, ok := s.job(id); !ok {
 						if _, gone := s.tomb(id); gone {
@@ -130,6 +135,12 @@ func TestKillAtEveryCrashPoint(t *testing.T) {
 				}
 
 				// No journal/spool/result temp debris survives recovery.
+				// Drain first: a job the helper made durable but died
+				// before acknowledging is replayed too, and may still be
+				// writing its result; that write's temp file is not
+				// debris.
+				gracefulStop(t, s)
+				stopped = true
 				var debris []string
 				filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 					if err == nil && !d.IsDir() && strings.HasSuffix(path, ".tmp") {

@@ -303,9 +303,13 @@ func TestShardBackendRecoveryRehires(t *testing.T) {
 	})
 
 	// The probe loop must notice: breaker half-opens on cooldown, the
-	// trial probe succeeds, the ring is whole again.
+	// trial probe succeeds, the ring is whole again. Wait for the
+	// closed breaker, not for !Degraded(): a half-open backend already
+	// counts as available, and a job placed then loses the single trial
+	// slot to a concurrent probe and runs locally.
+	backend := s.router.Backends()[0]
 	deadline = time.Now().Add(10 * time.Second)
-	for s.router.Degraded() {
+	for backend.State() != shard.BreakerClosed {
 		if time.Now().After(deadline) {
 			t.Fatal("router never rehired the resurrected backend")
 		}
